@@ -462,6 +462,66 @@ let streaming_encodes ?window p =
    else if Streaming_chains.width t < Dilworth.width p then ok := false);
   !ok
 
+(* Pinned behaviour on seeded message streams over cs:4x60 (the
+   offline-stream benchmark topology): each message's predecessors are the
+   last stamps of its two endpoints, as in [Offline.Stream]. 20k messages
+   run retirement many times at every window, so both [make_room] passes
+   (non-tails first; all-tails when the window is all tails) are covered.
+   The digest folds every emitted stamp in order, so any change of chain
+   choice, matching or retirement shows up here. *)
+let streaming_pinned_run ~seed ~window ~messages =
+  let module Rng = Synts_util.Rng in
+  let module Topology = Synts_graph.Topology in
+  let module Decomposition = Synts_graph.Decomposition in
+  let spec =
+    match Topology.spec_of_string "cs:4x60" with
+    | Ok s -> s
+    | Error e -> failwith e
+  in
+  let d = Decomposition.best (Topology.build spec) in
+  let channels =
+    Array.of_list
+      (List.concat_map Decomposition.edges_of_group (Decomposition.groups d))
+  in
+  let rng = Rng.create seed in
+  let last = Array.make (Decomposition.graph_vertices d) None in
+  let t = Streaming_chains.create ~window () in
+  let h = ref 0x2545F4914F6CDD1D in
+  for _ = 1 to messages do
+    let u, v = Rng.pick_array rng channels in
+    let src, dst = if Rng.bool rng then (u, v) else (v, u) in
+    let preds = List.filter_map Fun.id [ last.(src); last.(dst) ] in
+    let s = Streaming_chains.insert t ~preds in
+    last.(src) <- Some s;
+    last.(dst) <- Some s;
+    h :=
+      Array.fold_left
+        (fun h x -> (h lxor x) * 0x100000001b3)
+        (!h lxor Array.length s) s
+  done;
+  ( !h,
+    Streaming_chains.width t,
+    Streaming_chains.repairs t,
+    Streaming_chains.chains t,
+    Streaming_chains.retired t )
+
+let test_streaming_pinned () =
+  List.iter
+    (fun (seed, window, expect) ->
+      let list (h, width, repairs, chains, retired) =
+        [ h; width; repairs; chains; retired ]
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "seed %d window %d: digest width repairs chains retired"
+           seed window)
+        (list expect)
+        (list (streaming_pinned_run ~seed ~window ~messages:20_000)))
+    [
+      (1, 2, (-1306428107359434283, 14844, 0, 7, 19998));
+      (2, 16, (3189717588453097167, 184, 484, 8, 19984));
+      (3, 1024, (-4357808519862226947, 4, 562, 7, 19456));
+    ]
+
 let test_streaming_encodes_poset =
   qtest ~count:200 "streaming stamps encode the poset" Gen.poset poset_print
     (fun p -> streaming_encodes p)
@@ -481,6 +541,8 @@ let () =
       ( "streaming-chains",
         [
           Alcotest.test_case "boundaries" `Quick test_streaming_known;
+          Alcotest.test_case "pinned cs:4x60 streams" `Quick
+            test_streaming_pinned;
           test_streaming_encodes_poset;
           test_streaming_encodes_poset_small_window;
         ] );
