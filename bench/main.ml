@@ -449,14 +449,10 @@ let trace_overhead_tests =
       Test.make ~name:"rendezvous-off" (Staged.stage rendezvous);
     ]
 
-(* B17: the serve-path sharded engine — the same ordered 1024-event
-   workload swept in 32-event batches by 1, 2 and 4 shard domains.
-   shards-1 runs the sweep inline on the caller's domain (the same
-   componentwise rule as the conformance oracle), so the 2/4-shard rows
-   price the coordinator handshake and slice reassembly against the
-   parallel component sweep.  The engines (and their worker domains)
-   persist across iterations; [finish] at the end of each feed keeps the
-   internal-event stream and resolved queue from growing run over run. *)
+(* B17: the serve-path engine — the same ordered 1024-event workload
+   swept in 32-event batches. The engine persists across iterations;
+   [finish] at the end of each feed keeps the internal-event stream and
+   resolved queue from growing run over run. *)
 let serve_engine_tests =
   let module Ingest = Synts_ingest.Ingest in
   let module Engine = Synts_server.Engine in
@@ -475,28 +471,13 @@ let serve_engine_tests =
     in
     cut 0 []
   in
-  (* Engines are created lazily on first run so their worker domains
-     only exist while this (last) group is being measured — idle
-     domains must not sit in the stop-the-world set while the
-     single-domain groups are timed. *)
-  let feed shards =
-    let eng =
-      lazy
-        (let e = Engine.create ~shards d in
-         at_exit (fun () -> Engine.stop e);
-         e)
-    in
-    fun () ->
-      let eng = Lazy.force eng in
-      List.iter (fun b -> ignore (Engine.observe_batch eng b)) batches;
-      ignore (Engine.finish eng)
+  let eng = Engine.create d in
+  let feed () =
+    List.iter (fun b -> ignore (Engine.observe_batch eng b)) batches;
+    ignore (Engine.finish eng)
   in
   Test.make_grouped ~name:"serve-engine-1024ev"
-    [
-      Test.make ~name:"shards-1" (Staged.stage (feed 1));
-      Test.make ~name:"shards-2" (Staged.stage (feed 2));
-      Test.make ~name:"shards-4" (Staged.stage (feed 4));
-    ]
+    [ Test.make ~name:"batch-32" (Staged.stage feed) ]
 
 (* B18: the model checker's exploration engine — the default N=3
    scenario swept exhaustively with and without DPOR (the dpor row must

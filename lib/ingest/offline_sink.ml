@@ -35,7 +35,22 @@ let observe t event =
   | Ingest.Internal { proc } ->
       Ingest.Deferred (Event_stream.record_internal t.events ~proc)
 
-let observe_batch t events = Array.map (observe t) events
+(* The whole batch is checked before the first event is stamped, so a
+   rejected batch leaves the stream as it was. *)
+let observe_batch t events =
+  for i = 0 to Array.length events - 1 do
+    match events.(i) with
+    | Ingest.Message { src; dst } ->
+        if src < 0 || src >= t.n || dst < 0 || dst >= t.n || src = dst then
+          invalid_arg
+            (Printf.sprintf "Offline_sink: bad channel (%d, %d)" src dst)
+    | Ingest.Internal { proc } ->
+        if proc < 0 || proc >= t.n then
+          invalid_arg
+            (Printf.sprintf "Offline_sink: internal event on unknown process %d"
+               proc)
+  done;
+  Array.map (observe t) events
 
 let drain t =
   let out = List.of_seq (Queue.to_seq t.resolved) in

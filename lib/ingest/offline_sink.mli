@@ -30,7 +30,14 @@ val pending : t -> int
     the admin channel reports. *)
 
 val observe : t -> Ingest.event -> Ingest.outcome
+(** A batch of one — see {!observe_batch}. *)
+
 val observe_batch : t -> Ingest.event array -> Ingest.outcome array
+(** Stamp one ordered batch, all or nothing: every event is checked
+    before the first is stamped. A message whose endpoints are not two
+    distinct processes in [0, n), or an internal event on a process
+    outside [0, n), raises [Invalid_argument] and leaves the sink
+    unchanged — no message enters the stream, no ticket is issued. *)
 
 val drain : t -> Ingest.resolved list
 val finish : t -> Ingest.resolved list

@@ -4,13 +4,6 @@ type metrics_format = Prom | Json
 
 type request = Health | Metrics of metrics_format | Stats | Tracedump
 
-type shard_stat = {
-  shard : int;
-  s_events : int;
-  s_cells : int;
-  s_messages : int;
-}
-
 type conn_stat = {
   conn : int;
   events_in : int;
@@ -41,7 +34,6 @@ type stats = {
   p50_ms : float;
   p90_ms : float;
   p99_ms : float;
-  shards : shard_stat list;
   conns : conn_stat list;
   stream : stream_stat option;
 }
@@ -52,7 +44,6 @@ type response =
       backend : string;
       processes : int;
       dimension : int;
-      shards : int;
     }
   | Metrics_r of string
   | Stats_r of stats
@@ -60,7 +51,7 @@ type response =
   | Error_r of string
 
 let family_magic = '\xAD'
-let current_version = 1
+let current_version = 2
 
 exception Fail of string
 
@@ -161,13 +152,12 @@ let encode_response r =
   let buf = Buffer.create 128 in
   header buf;
   (match r with
-  | Health_r { ok; backend; processes; dimension; shards } ->
+  | Health_r { ok; backend; processes; dimension } ->
       Buffer.add_char buf '\x00';
       Buffer.add_char buf (if ok then '\x01' else '\x00');
       put_string buf backend;
       Wire.put_varint buf processes;
-      Wire.put_varint buf dimension;
-      Wire.put_varint buf shards
+      Wire.put_varint buf dimension
   | Metrics_r body ->
       Buffer.add_char buf '\x01';
       put_string buf body
@@ -185,14 +175,6 @@ let encode_response r =
       put_f64 buf st.p50_ms;
       put_f64 buf st.p90_ms;
       put_f64 buf st.p99_ms;
-      Wire.put_varint buf (List.length st.shards);
-      List.iter
-        (fun { shard; s_events; s_cells; s_messages } ->
-          Wire.put_varint buf shard;
-          Wire.put_varint buf s_events;
-          Wire.put_varint buf s_cells;
-          Wire.put_varint buf s_messages)
-        st.shards;
       Wire.put_varint buf (List.length st.conns);
       List.iter
         (fun { conn; events_in; stamps_out; dedup_hits; last_seq } ->
@@ -234,9 +216,8 @@ let decode_response s =
         let backend, off = get_string s off in
         let processes, off = varint s off in
         let dimension, off = varint s off in
-        let shards, off = varint s off in
         finish_at s off "Health_r";
-        Ok (Health_r { ok = ok <> 0; backend; processes; dimension; shards })
+        Ok (Health_r { ok = ok <> 0; backend; processes; dimension })
     | 1 ->
         let body, off = get_string s off in
         finish_at s off "Metrics_r";
@@ -254,19 +235,8 @@ let decode_response s =
         let p50_ms, off = get_f64 s off in
         let p90_ms, off = get_f64 s off in
         let p99_ms, off = get_f64 s off in
-        let nshards, off = varint s off in
+        let nconns, off = varint s off in
         let off = ref off in
-        let shards =
-          List.init nshards (fun _ ->
-              let shard, o = varint s !off in
-              let s_events, o = varint s o in
-              let s_cells, o = varint s o in
-              let s_messages, o = varint s o in
-              off := o;
-              { shard; s_events; s_cells; s_messages })
-        in
-        let nconns, o = varint s !off in
-        off := o;
         let conns =
           List.init nconns (fun _ ->
               let conn, o = varint s !off in
@@ -299,8 +269,8 @@ let decode_response s =
           (Stats_r
              {
                backend; clients; batches; messages; internal; dedup_hits;
-               errors; dropped; pending; p50_ms; p90_ms; p99_ms; shards;
-               conns; stream;
+               errors; dropped; pending; p50_ms; p90_ms; p99_ms; conns;
+               stream;
              })
     | 3 ->
         let dropped, off = varint s off in
@@ -323,9 +293,9 @@ let pp_request ppf = function
   | Tracedump -> Format.fprintf ppf "Tracedump"
 
 let pp_response ppf = function
-  | Health_r { ok; backend; processes; dimension; shards } ->
-      Format.fprintf ppf "Health{ok=%b; %s; n=%d; d=%d; shards=%d}" ok backend
-        processes dimension shards
+  | Health_r { ok; backend; processes; dimension } ->
+      Format.fprintf ppf "Health{ok=%b; %s; n=%d; d=%d}" ok backend processes
+        dimension
   | Metrics_r body -> Format.fprintf ppf "Metrics(%d bytes)" (String.length body)
   | Stats_r st ->
       Format.fprintf ppf

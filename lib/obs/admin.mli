@@ -19,16 +19,9 @@ type metrics_format = Prom | Json
 type request =
   | Health
   | Metrics of metrics_format
-      (** The merged cross-shard registry snapshot, rendered. *)
+      (** The daemon's metrics snapshot, rendered. *)
   | Stats
   | Tracedump  (** Drain the tracer ring. *)
-
-type shard_stat = {
-  shard : int;
-  s_events : int;  (** Events swept by this shard. *)
-  s_cells : int;  (** Clock cells written (events x owned components). *)
-  s_messages : int;  (** Messages whose edge group this shard owns. *)
-}
 
 type conn_stat = {
   conn : int;
@@ -48,7 +41,7 @@ type stream_stat = {
 }
 
 type stats = {
-  backend : string;  (** ["sharded:k"] or ["offline-stream"]. *)
+  backend : string;  (** ["online"] or ["offline-stream"]. *)
   clients : int;
   batches : int;
   messages : int;
@@ -60,7 +53,6 @@ type stats = {
   p50_ms : float;  (** Stamp-batch latency quantiles. *)
   p90_ms : float;
   p99_ms : float;
-  shards : shard_stat list;
   conns : conn_stat list;
   stream : stream_stat option;  (** Offline-stream watermarks. *)
 }
@@ -71,7 +63,6 @@ type response =
       backend : string;
       processes : int;
       dimension : int;
-      shards : int;
     }
   | Metrics_r of string  (** Rendered Prometheus text or JSON. *)
   | Stats_r of stats
@@ -82,7 +73,9 @@ val family_magic : char
 (** First body byte of every admin message ([0xAD]). *)
 
 val current_version : int
-(** The admin family version this build speaks (1). *)
+(** The admin family version this build speaks (2). Version 1 frames,
+    whose [Health_r] and [Stats_r] carried per-shard fields, are
+    rejected. *)
 
 val encode_request : request -> string
 (** Family header + tag + payload; wrap with [Wire.frame] before

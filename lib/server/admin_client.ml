@@ -45,8 +45,8 @@ let unexpected what resp =
 
 let health t =
   match roundtrip t Admin.Health with
-  | Admin.Health_r { ok; backend; processes; dimension; shards } ->
-      (ok, backend, processes, dimension, shards)
+  | Admin.Health_r { ok; backend; processes; dimension } ->
+      (ok, backend, processes, dimension)
   | Admin.Error_r e -> failwith e
   | other -> unexpected "health" other
 

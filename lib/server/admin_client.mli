@@ -12,13 +12,12 @@ type t
 val connect : Server.address -> t
 val close : t -> unit
 
-val health :
-  t -> bool * string * int * int * int
-(** [(ok, backend, processes, dimension, shards)]. *)
+val health : t -> bool * string * int * int
+(** [(ok, backend, processes, dimension)]. *)
 
 val metrics : t -> Synts_obs.Admin.metrics_format -> string
-(** The merged cross-shard registry snapshot, rendered as Prometheus
-    text or JSON. *)
+(** The daemon's metrics snapshot ({!Admin_service.snapshot}), rendered
+    as Prometheus text or JSON. *)
 
 val stats : t -> Synts_obs.Admin.stats
 

@@ -1,26 +1,18 @@
 module Tm = Synts_telemetry.Telemetry
 module Wire = Synts_clock.Wire
 module Admin = Synts_obs.Admin
-module Merge = Synts_obs.Merge
 module Tracer = Synts_trace.Tracer
 module Tracelog = Synts_trace.Tracelog
 module Ingest = Synts_ingest.Ingest
 module Stream = Synts_core.Offline.Stream
 
-let merged_snapshot service =
-  Merge.snapshots (Tm.snapshot () :: Service.telemetry_snapshots service)
+let snapshot service =
+  List.sort
+    (fun (a, _) (b, _) -> String.compare a b)
+    (Tm.snapshot () @ Service.telemetry_snapshot service)
 
 let stats service =
   let p50_ms, p90_ms, p99_ms = Service.stamp_quantiles service in
-  let shards =
-    match Service.backend service with
-    | Service.Sharded e ->
-        List.map
-          (fun (shard, s_events, s_cells, s_messages) ->
-            { Admin.shard; s_events; s_cells; s_messages })
-          (Engine.shard_loads e)
-    | Service.Offline_stream _ -> []
-  in
   let conns =
     List.map
       (fun (conn, events_in, stamps_out, dedup_hits, last_seq) ->
@@ -29,7 +21,7 @@ let stats service =
   in
   let stream =
     match Service.backend service with
-    | Service.Sharded _ -> None
+    | Service.Online _ -> None
     | Service.Offline_stream sink ->
         let s = Synts_ingest.Offline_sink.stream sink in
         Some
@@ -55,7 +47,6 @@ let stats service =
     p50_ms;
     p90_ms;
     p99_ms;
-    shards;
     conns;
     stream;
   }
@@ -65,7 +56,7 @@ let handle service (req : Admin.request) : Admin.response =
   | Admin.Health ->
       let sink =
         match Service.backend service with
-        | Service.Sharded e -> Engine.ingest e
+        | Service.Online e -> Engine.ingest e
         | Service.Offline_stream s -> Synts_ingest.Offline_sink.ingest s
       in
       Health_r
@@ -74,10 +65,9 @@ let handle service (req : Admin.request) : Admin.response =
           backend = Service.backend_name service;
           processes = Ingest.processes sink;
           dimension = Ingest.dimension sink;
-          shards = Service.shards service;
         }
   | Admin.Metrics fmt ->
-      let snap = merged_snapshot service in
+      let snap = snapshot service in
       Metrics_r
         (match fmt with
         | Admin.Prom -> Tm.to_prometheus snap

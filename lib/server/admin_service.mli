@@ -2,18 +2,19 @@
     requests from {!Service} state.
 
     Runs on the serve loop's thread between data-plane requests, so
-    every read — per-connection tallies, backend queue depths, merged
-    per-shard registries, the tracer ring — is a coherent snapshot;
-    nothing here blocks or stamps. *)
+    every read — per-connection tallies, backend queue depths, the
+    registries, the tracer ring — is a coherent snapshot; nothing here
+    blocks or stamps. *)
 
-val merged_snapshot : Service.t -> Synts_telemetry.Telemetry.snapshot
-(** The default registry, the service-private registry and the engine's
-    per-shard registries, merged with {!Synts_obs.Merge.snapshots}. *)
+val snapshot : Service.t -> Synts_telemetry.Telemetry.snapshot
+(** The [metrics] view: the process-wide default registry followed by
+    {!Service.telemetry_snapshot}, sorted by name. The registries share
+    no metric name, so every name appears once. *)
 
 val stats : Service.t -> Synts_obs.Admin.stats
 (** The [Stats] payload: totals, dedup/drop/pending counters, stamp
-    latency quantiles, per-shard loads, per-connection rows and (in
-    offline mode) the streaming watermarks. *)
+    latency quantiles, per-connection rows and (in offline mode) the
+    streaming watermarks. *)
 
 val handle : Service.t -> Synts_obs.Admin.request -> Synts_obs.Admin.response
 

@@ -21,7 +21,6 @@ type t = {
   mutable seq : int;  (* next Observe sequence number *)
   mutable processes : int;  (* grows when a churn delta joins a process *)
   mutable dimension : int;  (* follows the server's current epoch *)
-  shards : int;
   mutable epoch : int;
   mutable closed : bool;
 }
@@ -60,8 +59,8 @@ let roundtrip fd req =
 let connect address =
   let fd = connect_fd address in
   match roundtrip fd Protocol.Hello with
-  | Protocol.Welcome { processes; dimension; shards; epoch } ->
-      { fd; seq = 0; processes; dimension; shards; epoch; closed = false }
+  | Protocol.Welcome { processes; dimension; epoch } ->
+      { fd; seq = 0; processes; dimension; epoch; closed = false }
   | Protocol.Error_r e ->
       Unix.close fd;
       failwith ("server rejected hello: " ^ e)
@@ -76,7 +75,6 @@ let close t =
     try Unix.close t.fd with Unix.Unix_error _ -> ()
   end
 
-let shards t = t.shards
 let processes t = t.processes
 let dimension t = t.dimension
 let epoch t = t.epoch

@@ -3,7 +3,7 @@
     A connected client is one more {!Synts_ingest.Ingest.S}
     implementation: code written against the unified interface runs
     unchanged whether its sink is an in-process {!Synts_session.Session},
-    the sharded {!Engine}, or this client talking to a remote daemon.
+    the serve {!Engine}, or this client talking to a remote daemon.
 
     Each request/reply round-trip is timed into the
     [server.client.rpc_ms] telemetry histogram. {!observe_batch}
@@ -21,9 +21,6 @@ val connect : Server.address -> t
 val close : t -> unit
 (** Close the connection (the server keeps running). *)
 
-val shards : t -> int
-(** The server's effective shard count, from [Welcome]. *)
-
 val processes : t -> int
 val dimension : t -> int
 (** Process count and stamp dimension as of the last [Welcome] or
@@ -36,8 +33,8 @@ val churn : t -> string -> (int * int * int, string) result
 (** [churn t delta] asks the server to apply a rendered membership delta
     ([join:P:U-V,...] / [leave:P] / [add:U-V] / [drop:U-V]). On [Ok
     (epoch, processes, dimension)] the client's cached layout is updated
-    in place; in-flight sequence state is untouched (the server reshards
-    without dropping connections). *)
+    in place; in-flight sequence state is untouched (the server swaps in
+    an engine laid out for the new epoch without dropping connections). *)
 
 val observe : t -> Synts_ingest.Ingest.event -> Synts_ingest.Ingest.outcome
 val observe_batch :
@@ -53,8 +50,8 @@ val finish :
   t -> (Synts_ingest.Ingest.ticket * Synts_core.Internal_events.stamp) list
 
 val verify_server : t -> (bool * int, string) result
-(** Ask a [--check] server to replay its whole arrival log through the
-    single-domain oracle; [Ok (ok, messages_checked)]. *)
+(** Ask a [--check] server to replay its whole arrival log through its
+    backend's oracle; [Ok (ok, messages_checked)]. *)
 
 type stats = {
   clients : int;

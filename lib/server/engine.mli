@@ -1,38 +1,28 @@
-(** The sharded streaming stamping engine behind [synts serve].
+(** The streaming stamping engine behind [synts serve].
 
     An engine conforms to {!Synts_ingest.Ingest.S}, so everything that
-    feeds a {!Synts_session.Session} can feed an engine unchanged — but
-    batches are stamped by [shards] OCaml domains in parallel, each
-    owning a disjoint slice of the timestamp components (see {!Shard}).
+    feeds a {!Synts_session.Session} can feed an engine unchanged. It
+    sweeps each ordered batch on the caller's domain over one
+    {!Synts_clock.Stamp_store} slab whose first [n] rows are the
+    per-process clocks: a message's stamp is the componentwise maximum
+    of its endpoints' rows plus one on the channel's edge group, and
+    both endpoints adopt it. Stamps are bit-identical to
+    {!Synts_core.Online.stamper}, which stays in-tree as the
+    conformance oracle.
 
-    Exactness is by construction, not by luck: the online stamping rule
-    is componentwise, every shard sweeps the {e same} ordered batch over
-    its own {!Synts_clock.Stamp_store} slab (per-process clock slices in
-    the first [n] rows, one output row per batch event above them), and
-    the coordinator reassembles full vectors from the disjoint slices.
-    The result is bit-identical to the deterministic single-domain sweep
-    — property-tested against {!Synts_core.Online.stamper}, which stays
-    in-tree as the conformance oracle. With [shards = 1] (or a
-    single-component decomposition) no domain is spawned and the sweep
-    runs inline on the caller's domain.
-
-    Internal events never touch the clocks, so they are resolved on the
-    coordinator through {!Synts_core.Event_stream} using the reassembled
-    message stamps; tickets and resolved stamps behave exactly as a
-    session's. *)
+    Internal events never touch the clocks; they are resolved through
+    {!Synts_core.Event_stream} from the message stamps, so tickets and
+    resolved stamps behave exactly as a session's. *)
 
 type t
 
-val create : ?shards:int -> ?pending_cap:int -> Synts_graph.Decomposition.t -> t
-(** [create ~shards d] builds an engine over decomposition [d] with at
-    most [shards] (default 1, clamped to the component count) worker
-    domains. [pending_cap] (default 65536, mirroring
-    {!Synts_session.Session}) bounds the resolved-stamp queue: beyond it
-    the oldest entry is dropped and counted in {!dropped}. [shards < 1]
-    or [pending_cap < 1] raises [Invalid_argument]. *)
+val create : ?pending_cap:int -> Synts_graph.Decomposition.t -> t
+(** [create d] builds an engine over decomposition [d]. [pending_cap]
+    (default 65536, mirroring {!Synts_session.Session}) bounds the
+    resolved-stamp queue: beyond it the oldest entry is dropped and
+    counted in {!dropped}. [pending_cap < 1] raises [Invalid_argument]. *)
 
 val of_layout :
-  ?shards:int ->
   ?pending_cap:int ->
   ?init:int array array ->
   ?first_ticket:int ->
@@ -42,7 +32,7 @@ val of_layout :
   unit ->
   t
 (** An engine over an explicit layout instead of a static decomposition —
-    the constructor a membership reshard uses. [group_of_edge] maps a
+    the constructor an epoch change uses. [group_of_edge] maps a
     channel to its component slot (raising [Not_found] off-topology;
     typically [Synts_graph.Membership.slot_of_edge] of the epoch's
     membership). [init] (default all zeros) seeds the per-process clock
@@ -52,9 +42,6 @@ val of_layout :
     ({!next_ticket}) so clients see one monotone ticket space across
     epochs. [dim < 1], [n < 0] or ill-shaped [init] raise
     [Invalid_argument]. *)
-
-val shards : t -> int
-(** Effective shard count after clamping. *)
 
 val processes : t -> int
 val dimension : t -> int
@@ -69,34 +56,28 @@ val dropped : t -> int
 
 val next_ticket : t -> int
 (** The ticket the next deferred internal event would get — pass it as
-    [first_ticket] to the successor engine when resharding so the ticket
-    space stays monotone. *)
+    [first_ticket] to the successor engine at an epoch change so the
+    ticket space stays monotone. *)
 
 val process_vectors : t -> int array array
-(** The per-process clock vectors, reassembled from the shard slices.
-    Row [p] is process [p]'s current clock (width {!dimension}). Only
-    meaningful between batches; this is the state {!of_layout}'s [init]
-    carries across a membership epoch change. *)
+(** The per-process clock vectors: row [p] is process [p]'s current
+    clock (width {!dimension}), copied out. This is the state
+    {!of_layout}'s [init] carries across a membership epoch change. *)
 
-val telemetry_snapshots : t -> Synts_telemetry.Telemetry.snapshot list
-(** One snapshot per shard, in shard order, from the per-shard private
-    registries (each worker domain records only into its own, so the hot
-    sweep is contention-free). The per-shard counters are shard-count
-    invariant: merging these snapshots with [Obs.Merge.snapshots]
-    reconstructs the single-shard oracle registry bit-identically. *)
-
-val shard_loads : t -> (int * int * int * int) list
-(** [(shard, events swept, cells written, messages owned)] per shard —
-    the admin channel's load-skew rows. *)
+val telemetry_snapshot : t -> Synts_telemetry.Telemetry.snapshot
+(** The engine-private registry: the ["server.engine.owned_groups"]
+    histogram (one observation of its edge-group id per message) and the
+    ["server.engine.internal_events"] counter. Both depend only on the
+    event stream, not on how it was cut into batches. *)
 
 val observe : t -> Synts_ingest.Ingest.event -> Synts_ingest.Ingest.outcome
 (** A batch of one — see {!observe_batch}. *)
 
 val observe_batch :
   t -> Synts_ingest.Ingest.event array -> Synts_ingest.Ingest.outcome array
-(** Stamp one ordered batch: every shard sweeps it in parallel, then the
-    outcomes are assembled in event order. [Message] events outside the
-    decomposition raise [Invalid_argument] (before any state changes). *)
+(** Stamp one ordered batch; outcomes are in event order. [Message]
+    events outside the layout and [Internal] events on unknown
+    processes raise [Invalid_argument] before any state changes. *)
 
 val drain :
   t -> (Synts_ingest.Ingest.ticket * Synts_core.Internal_events.stamp) list
@@ -108,8 +89,8 @@ val finish :
     increasing across a [finish]. *)
 
 val stop : t -> unit
-(** Join the worker domains. Idempotent; the engine must not be used
-    afterwards. *)
+(** Retire the engine: later batches raise [Invalid_argument].
+    Idempotent. *)
 
 module Sink : Synts_ingest.Ingest.S with type t = t
 (** The {!Synts_ingest.Ingest.S} conformance. *)

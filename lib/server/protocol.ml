@@ -14,7 +14,7 @@ type request =
   | Shutdown
 
 type response =
-  | Welcome of { processes : int; dimension : int; shards : int; epoch : int }
+  | Welcome of { processes : int; dimension : int; epoch : int }
   | Outcomes of Ingest.outcome array
   | Resolved of (Ingest.ticket * Internal_events.stamp) list
   | Verified of { ok : bool; checked : int }
@@ -159,11 +159,10 @@ let decode_request s =
 let encode_response r =
   let buf = Buffer.create 64 in
   (match r with
-  | Welcome { processes; dimension; shards; epoch } ->
+  | Welcome { processes; dimension; epoch } ->
       Buffer.add_char buf '\x00';
       Wire.put_varint buf processes;
       Wire.put_varint buf dimension;
-      Wire.put_varint buf shards;
       Wire.put_varint buf epoch
   | Outcomes outcomes ->
       Buffer.add_char buf '\x01';
@@ -224,10 +223,9 @@ let decode_response s =
       | 0 ->
           let processes, off = varint s off in
           let dimension, off = varint s off in
-          let shards, off = varint s off in
           let epoch, off = varint s off in
           finish_at s off "Welcome";
-          Ok (Welcome { processes; dimension; shards; epoch })
+          Ok (Welcome { processes; dimension; epoch })
       | 1 ->
           let count, off = varint s off in
           let off = ref off in
@@ -313,9 +311,9 @@ let pp_request ppf = function
   | Shutdown -> Format.fprintf ppf "Shutdown"
 
 let pp_response ppf = function
-  | Welcome { processes; dimension; shards; epoch } ->
-      Format.fprintf ppf "Welcome{n=%d; d=%d; shards=%d; epoch=%d}" processes
-        dimension shards epoch
+  | Welcome { processes; dimension; epoch } ->
+      Format.fprintf ppf "Welcome{n=%d; d=%d; epoch=%d}" processes dimension
+        epoch
   | Outcomes o -> Format.fprintf ppf "Outcomes(%d)" (Array.length o)
   | Resolved r -> Format.fprintf ppf "Resolved(%d)" (List.length r)
   | Verified { ok; checked } ->

@@ -27,7 +27,7 @@ type request =
   | Shutdown
 
 type response =
-  | Welcome of { processes : int; dimension : int; shards : int; epoch : int }
+  | Welcome of { processes : int; dimension : int; epoch : int }
   | Outcomes of Synts_ingest.Ingest.outcome array
   | Resolved of
       (Synts_ingest.Ingest.ticket * Synts_core.Internal_events.stamp) list

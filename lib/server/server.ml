@@ -188,20 +188,20 @@ let loop ?admin service listen_fd address =
 
 let bind_admin = Option.map (fun address -> (bind_listen address, address))
 
-let serve ?shards ?check ?offline ?window ?admin address d =
+let serve ?check ?offline ?window ?admin address d =
   let listen_fd = bind_listen address in
   let admin = bind_admin admin in
-  let service = Service.create ?shards ?check ?offline ?window d in
+  let service = Service.create ?check ?offline ?window d in
   loop ?admin service listen_fd address
 
 type handle = unit Domain.t
 
-let spawn ?shards ?check ?offline ?window ?admin address d =
+let spawn ?check ?offline ?window ?admin address d =
   (* Bind before spawning so the caller can connect immediately. *)
   let listen_fd = bind_listen address in
   let admin = bind_admin admin in
   Domain.spawn (fun () ->
-      let service = Service.create ?shards ?check ?offline ?window d in
+      let service = Service.create ?check ?offline ?window d in
       loop ?admin service listen_fd address)
 
 let join = Domain.join

@@ -1,8 +1,7 @@
 (** The [synts serve] daemon: a select loop over Unix or TCP sockets.
 
-    One single-threaded loop owns the listening socket and every client
-    connection; stamping parallelism lives below it, in the engine's
-    worker domains. Clients speak the {!Frame} transport carrying
+    One single-threaded loop owns the listening socket, every client
+    connection and the stamping backend. Clients speak the {!Frame} transport carrying
     {!Protocol} messages; all protocol logic is in {!Service}.
 
     A {!Protocol.Shutdown} request from any client answers [Bye],
@@ -16,7 +15,6 @@ val address_of_string : string -> (address, string) result
 (** ["host:port"] is TCP; anything else is a Unix socket path. *)
 
 val serve :
-  ?shards:int ->
   ?check:bool ->
   ?offline:bool ->
   ?window:int ->
@@ -38,7 +36,6 @@ type handle
     by [synts load --spawn] and the smoke tests). *)
 
 val spawn :
-  ?shards:int ->
   ?check:bool ->
   ?offline:bool ->
   ?window:int ->

@@ -31,12 +31,12 @@ type conn = {
   mutable dedup_hits : int;
 }
 
-(* The stamping backend behind the protocol: the sharded Fig. 5 engine,
-   or the streaming offline pipeline. Both are driven through their
-   packed {!Ingest.sink}; only shard count, shutdown and the verify
-   oracle are backend-specific. *)
+(* The stamping backend behind the protocol: the Fig. 5 engine, or the
+   streaming offline pipeline. Both are driven through their packed
+   {!Ingest.sink}; only churn, shutdown and the verify oracle are
+   backend-specific. *)
 type backend =
-  | Sharded of Engine.t
+  | Online of Engine.t
   | Offline_stream of Synts_ingest.Offline_sink.t
 
 (* Check-mode arrival log: events interleaved with the membership deltas
@@ -51,7 +51,6 @@ type t = {
   mutable sink : Ingest.sink;
   decomposition : Decomposition.t;  (* epoch-0 layout *)
   membership : Membership.t option;  (* None for the offline backend *)
-  requested_shards : int;
   mutable carry :
     (Ingest.ticket * Synts_core.Internal_events.stamp) list;
       (* Resolved stamps flushed out of a retired engine at an epoch
@@ -80,13 +79,13 @@ let graph_of_decomposition d =
     (Decomposition.graph_vertices d)
     (List.concat_map Decomposition.edges_of_group (Decomposition.groups d))
 
-let create ?shards ?(check = false) ?(offline = false) ?window d =
+let create ?(check = false) ?(offline = false) ?window d =
   let backend =
     if offline then
       Offline_stream
         (Synts_ingest.Offline_sink.create ?window
            ~n:(Decomposition.graph_vertices d) ())
-    else Sharded (Engine.create ?shards d)
+    else Online (Engine.create d)
   in
   let membership =
     if offline then None
@@ -94,7 +93,7 @@ let create ?shards ?(check = false) ?(offline = false) ?window d =
   in
   let sink =
     match backend with
-    | Sharded e -> Engine.ingest e
+    | Online e -> Engine.ingest e
     | Offline_stream s -> Synts_ingest.Offline_sink.ingest s
   in
   let registry = Tm.create_registry () in
@@ -110,7 +109,6 @@ let create ?shards ?(check = false) ?(offline = false) ?window d =
     sink;
     decomposition = d;
     membership;
-    requested_shards = (match shards with Some k -> k | None -> 1);
     carry = [];
     check;
     log = [];
@@ -143,17 +141,14 @@ let attach t =
 
 let detach t conn = Hashtbl.remove t.conns conn.id
 let clients t = Hashtbl.length t.conns
-let shards t =
-  match t.backend with Sharded e -> Engine.shards e | Offline_stream _ -> 1
-
 let stop t =
-  match t.backend with Sharded e -> Engine.stop e | Offline_stream _ -> ()
+  match t.backend with Online e -> Engine.stop e | Offline_stream _ -> ()
 
 let backend t = t.backend
 
 let backend_name t =
   match t.backend with
-  | Sharded e -> Printf.sprintf "sharded:%d" (Engine.shards e)
+  | Online _ -> "online"
   | Offline_stream _ -> "offline-stream"
 
 let batches t = t.batches
@@ -164,11 +159,11 @@ let errors t = t.errors
 
 let pending t =
   match t.backend with
-  | Sharded e -> Engine.pending e
+  | Online e -> Engine.pending e
   | Offline_stream s -> Synts_ingest.Offline_sink.pending s
 
 let dropped t =
-  match t.backend with Sharded e -> Engine.dropped e | Offline_stream _ -> 0
+  match t.backend with Online e -> Engine.dropped e | Offline_stream _ -> 0
 
 let stamp_quantiles t =
   let q p = Tm.Histogram.quantile t.stamp_ms p in
@@ -181,11 +176,14 @@ let conn_stats t =
     t.conns []
   |> List.sort compare
 
-let telemetry_snapshots t =
-  Tm.snapshot ~registry:t.registry ()
-  :: (match t.backend with
-     | Sharded e -> Engine.telemetry_snapshots e
-     | Offline_stream _ -> [])
+let telemetry_snapshot t =
+  let own = Tm.snapshot ~registry:t.registry () in
+  match t.backend with
+  | Online e ->
+      List.sort
+        (fun (a, _) (b, _) -> String.compare a b)
+        (own @ Engine.telemetry_snapshot e)
+  | Offline_stream _ -> own
 
 let record t events outcomes =
   Array.iter
@@ -222,8 +220,8 @@ let take_carry t =
 let apply_churn t delta =
   match (t.backend, t.membership) with
   | Offline_stream _, _ | _, None ->
-      Error "churn requires the sharded backend (run without --offline)"
-  | Sharded e, Some m -> (
+      Error "churn requires the online backend (run without --offline)"
+  | Online e, Some m -> (
       let from_epoch = Membership.epoch m in
       let w_old = Membership.width m in
       match Membership.apply m delta with
@@ -244,23 +242,21 @@ let apply_churn t delta =
                 else Array.make dim' 0)
           in
           let e' =
-            Engine.of_layout ~shards:t.requested_shards ~init ~first_ticket
-              ~n:n' ~dim:dim'
+            Engine.of_layout ~init ~first_ticket ~n:n' ~dim:dim'
               ~group_of_edge:(fun u v -> Membership.slot_of_edge m u v)
               ()
           in
-          t.backend <- Sharded e';
+          t.backend <- Online e';
           t.sink <- Engine.ingest e';
           Tm.Counter.incr m_churn;
           if t.check then t.log <- Delta delta :: t.log;
           Ok (Membership.epoch m, n', dim'))
 
-(* Sharded mode, no churn: replay the whole arrival log through the
-   deterministic single-domain oracle and compare message stamps
-   bit-for-bit.
+(* Online mode, no churn: replay the whole arrival log through
+   {!Online.stamper} and compare message stamps bit-for-bit.
    Internal-event stamps are functions of the surrounding message
    stamps, so message equality is the whole exactness claim. *)
-let verify_sharded t =
+let verify_online t =
   let oracle = Online.stamper t.decomposition in
   let stamped = ref (List.rev t.stamped) in
   let checked = ref 0 in
@@ -281,8 +277,8 @@ let verify_sharded t =
   if !stamped <> [] then ok := false;
   Protocol.Verified { ok = !ok; checked = !checked }
 
-(* Sharded mode with churn in the log: replay events {e and} membership
-   deltas in arrival order through the single-domain epoch-aware oracle
+(* Online mode with churn in the log: replay events {e and} membership
+   deltas in arrival order through the epoch-aware oracle
    ({!Epoch_stamper} over a fresh membership seeded from the epoch-0
    decomposition), crossing the same epoch boundaries at the same
    points. Stamps must match bit-for-bit epoch by epoch. *)
@@ -361,7 +357,7 @@ let has_churn_log t =
 
 let verify t =
   match t.backend with
-  | Sharded _ -> if has_churn_log t then verify_epochs t else verify_sharded t
+  | Online _ -> if has_churn_log t then verify_epochs t else verify_online t
   | Offline_stream _ -> verify_offline t
 
 let handle t conn (req : Protocol.request) : Protocol.response =
@@ -377,7 +373,6 @@ let handle t conn (req : Protocol.request) : Protocol.response =
         {
           processes = Ingest.processes t.sink;
           dimension = Ingest.dimension t.sink;
-          shards = shards t;
           epoch = epoch t;
         }
   | Observe { seq; events } ->

@@ -1,6 +1,6 @@
 (** Transport-independent core of the [synts serve] daemon.
 
-    A service owns one sharded {!Engine} and the per-connection protocol
+    A service owns one stamping backend and the per-connection protocol
     state; the socket layer ({!Server}) only moves framed bytes. Keeping
     the core transport-free is what lets the property tests drive the
     full request path — encode, frame, (possibly corrupt), unframe,
@@ -19,7 +19,6 @@
 type t
 
 val create :
-  ?shards:int ->
   ?check:bool ->
   ?offline:bool ->
   ?window:int ->
@@ -28,8 +27,8 @@ val create :
 (** [check] (default false) additionally logs every ingested event in
     arrival order so {!Protocol.Verify} can replay the whole stream
     against a mode-specific oracle. With [offline] false (the default)
-    the backend is the sharded Fig. 5 {!Engine} and verification
-    replays through the single-domain {!Synts_core.Online.stamper},
+    the backend is the Fig. 5 {!Engine} and verification replays
+    through {!Synts_core.Online.stamper},
     comparing stamps bit-for-bit. With [offline] true the backend is
     the streaming Dilworth pipeline
     ({!Synts_ingest.Offline_sink}, live window [window]): stamps are
@@ -38,8 +37,7 @@ val create :
     {!Synts_core.Offline.timestamp_trace} and requires the same
     precedes/concurrent verdict on every message pair
     (order-equivalence — the streamed vectors are not bit-identical to
-    the batch ones). [shards] is ignored in offline mode (reported as
-    1 in [Welcome]). *)
+    the batch ones). *)
 
 type conn
 
@@ -52,9 +50,12 @@ val clients : t -> int
 (** Currently attached connections. *)
 
 val handle : t -> conn -> Protocol.request -> Protocol.response
-(** Execute one decoded request. Never raises: engine
-    [Invalid_argument]s surface as [Error_r]. [Shutdown] answers [Bye];
-    the caller decides what to do with its transport. *)
+(** Execute one decoded request. Never raises: backend
+    [Invalid_argument]s surface as [Error_r]. An [Observe] batch either
+    stamps whole or, when the backend rejects it, changes no state and
+    leaves its sequence number unused, so a corrected retry may reuse
+    it. [Shutdown] answers [Bye]; the caller decides what to do with its
+    transport. *)
 
 val handle_raw : t -> conn -> string -> string
 (** The byte-level path: {!Synts_clock.Wire.unframe}, decode, {!handle},
@@ -64,25 +65,22 @@ val handle_raw : t -> conn -> string -> string
     window. *)
 
 val stop : t -> unit
-(** Stop the backend (joins the engine's worker domains; a no-op for the
-    offline-stream backend, which runs inline). *)
-
-val shards : t -> int
-(** Worker domains of the sharded backend; 1 in offline-stream mode. *)
+(** Stop the backend: the engine rejects later batches. A no-op for the
+    offline-stream backend. *)
 
 (** {2 Introspection}
 
     The accessors behind the admin channel ({!Admin_service}). All are
-    cheap reads of coordinator-side state — safe to call between
-    requests on the serve loop's thread. *)
+    cheap reads — safe to call between requests on the serve loop's
+    thread. *)
 
 type backend =
-  | Sharded of Engine.t
+  | Online of Engine.t
   | Offline_stream of Synts_ingest.Offline_sink.t
 
 val backend : t -> backend
 (** The {e current} backend — a [Protocol.Churn] request retires the
-    sharded engine and replaces it with one laid out for the new epoch
+    engine and replaces it with one laid out for the new epoch
     (per-process clocks translated, ticket space continued), so do not
     cache the result across requests. *)
 
@@ -91,13 +89,13 @@ val epoch : t -> int
     support churn). *)
 
 val membership : t -> Synts_graph.Membership.t option
-(** The churn-tolerant membership behind the sharded backend ([None] in
+(** The churn-tolerant membership behind the online backend ([None] in
     offline mode) — read-only introspection for the admin channel and
     the [epoch/*] lint rules; deltas must flow through
     [Protocol.Churn]. *)
 
 val backend_name : t -> string
-(** ["sharded:k"] or ["offline-stream"]. *)
+(** ["online"] or ["offline-stream"]. *)
 
 val batches : t -> int
 val messages_total : t -> int
@@ -124,7 +122,7 @@ val conn_stats : t -> (int * int * int * int * int) list
 (** Per-connection [(id, events in, stamps out, dedup hits, last seq)],
     sorted by id. *)
 
-val telemetry_snapshots : t -> Synts_telemetry.Telemetry.snapshot list
-(** The service-private registry snapshot followed by the engine's
-    per-shard registry snapshots (empty tail in offline mode) — merge
-    with [Obs.Merge.snapshots] for the admin [metrics] view. *)
+val telemetry_snapshot : t -> Synts_telemetry.Telemetry.snapshot
+(** The service-private registry ([server.stamp_ms]) and, with the
+    online backend, the engine's ({!Engine.telemetry_snapshot}), sorted
+    by name. The two registries share no metric name. *)

@@ -84,8 +84,8 @@ module Histogram : sig
   (** [observe_n t x n] records [n] observations of [x] with one bucket
       walk — what hot loops use to aggregate per-batch. For integral [x]
       (and any [x] where [x *. n] is exact) the result is structurally
-      identical to [n] calls of {!observe}, which is what the cross-shard
-      merge property relies on. *)
+      identical to [n] calls of {!observe}, so a snapshot does not
+      depend on how the observations were batched. *)
 
   val count : t -> int
   val sum : t -> float
@@ -131,8 +131,8 @@ type value =
       sum : float;
       count : int;
       min : float;
-          (** Smallest observation; [+inf] while [count = 0] so it is the
-              identity under {!Synts_obs.Merge} (exports render 0). *)
+          (** Smallest observation; [+inf] while [count = 0], so it is
+              the identity of [min] (exports render 0). *)
       max : float;  (** Largest observation; [-inf] while [count = 0]. *)
     }
 

@@ -5,10 +5,10 @@ module Wire = Synts_clock.Wire
 module Ingest = Synts_ingest.Ingest
 module Telemetry = Synts_telemetry.Telemetry
 module Log = Synts_obs.Log
-module Merge = Synts_obs.Merge
 module Admin = Synts_obs.Admin
 module Engine = Synts_server.Engine
 module Service = Synts_server.Service
+module Admin_service = Synts_server.Admin_service
 module Protocol = Synts_server.Protocol
 module Injector = Synts_fault.Injector
 module Plan = Synts_fault.Plan
@@ -66,68 +66,6 @@ let test_log_filtering () =
              at 0)
            !lines))
 
-(* ---------- merge semantics ---------- *)
-
-let hist ?(bounds = [| 1.; 2. |]) counts inf sum count min max =
-  Telemetry.Histogram_v
-    {
-      buckets = Array.map2 (fun b c -> (b, c)) bounds counts;
-      inf;
-      sum;
-      count;
-      min;
-      max;
-    }
-
-let empty_hist = hist [| 0; 0 |] 0 0. 0 Float.infinity Float.neg_infinity
-
-let test_merge_values () =
-  Alcotest.(check bool) "counters add" true
-    (Merge.value (Telemetry.Counter_v 3) (Telemetry.Counter_v 4)
-    = Telemetry.Counter_v 7);
-  Alcotest.(check bool) "gauges max" true
-    (Merge.value (Telemetry.Gauge_v 3) (Telemetry.Gauge_v 9)
-    = Telemetry.Gauge_v 9);
-  Alcotest.(check bool) "histograms add pointwise" true
-    (Merge.value
-       (hist [| 1; 0 |] 2 7.5 3 0.5 6.)
-       (hist [| 0; 2 |] 1 4.0 3 1.5 2.)
-    = hist [| 1; 2 |] 3 11.5 6 0.5 6.);
-  Alcotest.(check bool) "empty histogram is the identity" true
-    (Merge.value empty_hist (hist [| 1; 1 |] 0 2.5 2 0.5 2.)
-    = hist [| 1; 1 |] 0 2.5 2 0.5 2.)
-
-let test_merge_mismatch () =
-  Alcotest.check_raises "kind mismatch"
-    (Invalid_argument "Obs.Merge: metric kind mismatch") (fun () ->
-      ignore (Merge.value (Telemetry.Counter_v 1) (Telemetry.Gauge_v 1)));
-  match
-    Merge.value
-      (hist ~bounds:[| 1.; 2. |] [| 0; 0 |] 0 0. 0 Float.infinity
-         Float.neg_infinity)
-      (hist ~bounds:[| 1.; 3. |] [| 0; 0 |] 0 0. 0 Float.infinity
-         Float.neg_infinity)
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "bucket-bounds mismatch must raise"
-
-let test_merge_snapshots_sorted () =
-  let merged =
-    Merge.snapshots
-      [
-        [ ("z.late", Telemetry.Counter_v 1); ("a.early", Telemetry.Gauge_v 2) ];
-        [ ("m.mid", Telemetry.Counter_v 5); ("z.late", Telemetry.Counter_v 4) ];
-      ]
-  in
-  Alcotest.(check bool) "sorted, summed" true
-    (merged
-    = [
-        ("a.early", Telemetry.Gauge_v 2);
-        ("m.mid", Telemetry.Counter_v 5);
-        ("z.late", Telemetry.Counter_v 5);
-      ]);
-  Alcotest.(check bool) "empty" true (Merge.snapshots [] = [])
-
 (* ---------- admin codec ---------- *)
 
 let request_gen =
@@ -144,14 +82,6 @@ let request_gen =
    but structural equality on NaN would be vacuously false. *)
 let qfloat =
   QCheck2.Gen.(map (fun i -> float_of_int i /. 16.) (int_bound 100000))
-
-let shard_stat_gen =
-  QCheck2.Gen.(
-    map
-      (fun (shard, s_events, s_cells, s_messages) ->
-        { Admin.shard; s_events; s_cells; s_messages })
-      (quad (int_bound 16) (int_bound 10000) (int_bound 10000)
-         (int_bound 10000)))
 
 let conn_stat_gen =
   QCheck2.Gen.(
@@ -175,7 +105,7 @@ let stats_gen =
       (fun ( (backend, clients, batches, messages),
              (internal, dedup_hits, errors, dropped),
              (pending, p50_ms, p90_ms, p99_ms),
-             (shards, conns, stream) ) ->
+             (conns, stream) ) ->
         {
           Admin.backend;
           clients;
@@ -189,7 +119,6 @@ let stats_gen =
           p50_ms;
           p90_ms;
           p99_ms;
-          shards;
           conns;
           stream;
         })
@@ -199,8 +128,7 @@ let stats_gen =
          (quad (int_bound 10000) (int_bound 100) (int_bound 100)
             (int_bound 100))
          (quad (int_bound 10000) qfloat qfloat qfloat)
-         (triple
-            (list_size (int_bound 4) shard_stat_gen)
+         (pair
             (list_size (int_bound 4) conn_stat_gen)
             (option stream_stat_gen))))
 
@@ -209,10 +137,10 @@ let response_gen =
     oneof
       [
         map2
-          (fun (ok, processes, dimension) (backend, shards) ->
-            Admin.Health_r { ok; backend; processes; dimension; shards })
+          (fun (ok, processes, dimension) backend ->
+            Admin.Health_r { ok; backend; processes; dimension })
           (triple bool (int_bound 1000) (int_bound 100))
-          (pair (string_size (int_bound 12)) (int_bound 16));
+          (string_size (int_bound 12));
         map (fun s -> Admin.Metrics_r s) (string_size (int_bound 64));
         map (fun s -> Admin.Stats_r s) stats_gen;
         map2
@@ -233,83 +161,58 @@ let test_response_roundtrip =
     (Format.asprintf "%a" Admin.pp_response) (fun resp ->
       Admin.decode_response (Admin.encode_response resp) = Ok resp)
 
-(* The family header: data-plane bodies and future family versions are
-   rejected with a decode error, not misparsed. *)
+(* The family header: data-plane bodies, older family versions (v1
+   carried per-shard fields) and future ones are rejected with a decode
+   error, not misparsed. *)
 let test_family_rejection () =
   (match Admin.decode_request (Protocol.encode_request Protocol.Stats) with
   | Error _ -> ()
   | Ok r ->
       Alcotest.fail
         (Format.asprintf "data-plane body decoded as %a" Admin.pp_request r));
-  let future =
+  let at version =
     let b = Bytes.of_string (Admin.encode_request Admin.Health) in
-    Bytes.set b 1 (Char.chr (Admin.current_version + 1));
+    Bytes.set b 1 (Char.chr version);
     Bytes.to_string b
   in
-  match Admin.decode_request future with
+  (match Admin.decode_request (at (Admin.current_version + 1)) with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "future version accepted"
+  | Ok _ -> Alcotest.fail "future version accepted");
+  match Admin.decode_request (at 1) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "v1 frame accepted"
 
-(* ---------- cross-shard merge ≡ single-shard oracle ---------- *)
+(* ---------- engine telemetry ---------- *)
 
-let run_engine ~shards ~batch events d =
-  let e = Engine.create ~shards d in
-  Fun.protect
-    ~finally:(fun () -> Engine.stop e)
-    (fun () ->
-      let total = Array.length events in
-      let off = ref 0 in
-      while !off < total do
-        let len = min batch (total - !off) in
-        ignore (Engine.observe_batch e (Array.sub events !off len));
-        off := !off + len
-      done;
-      ignore (Engine.finish e);
-      Engine.telemetry_snapshots e)
+let run_engine ~batch events d =
+  let e = Engine.create d in
+  let total = Array.length events in
+  let off = ref 0 in
+  while !off < total do
+    let len = min batch (total - !off) in
+    ignore (Engine.observe_batch e (Array.sub events !off len));
+    off := !off + len
+  done;
+  ignore (Engine.finish e);
+  Engine.telemetry_snapshot e
 
-let merge_gen = QCheck2.Gen.(pair Gen.computation (int_range 2 4))
+let faulty_gen = QCheck2.Gen.pair Gen.computation Gen.rng_seed
 
-let merge_print (c, shards) =
-  Printf.sprintf "%s shards=%d" (Gen.computation_print c) shards
+let faulty_print (c, seed) =
+  Printf.sprintf "%s inj_seed=%d" (Gen.computation_print c) seed
 
-(* The per-shard counters are designed to be shard-count invariant:
-   merging the k-shard registries must reconstruct the 1-shard oracle
-   registry structurally — same names, same counts, same histogram
-   buckets — whatever the batching. *)
-let test_merge_matches_oracle =
-  qtest ~count:60 "k-shard registries merge to the 1-shard oracle" merge_gen
-    merge_print (fun (c, shards) ->
+(* The byte-level service path with a fault injector duplicating and
+   corrupting deliveries in 9-event batches: seq dedup and the wire
+   checksum keep the engine's effective stream clean, so its registry
+   equals a clean engine's fed the same events in 1024-event batches. *)
+let test_snapshot_under_faults =
+  qtest ~count:25 "engine registry under dup/corrupt" faulty_gen
+    faulty_print (fun (c, seed) ->
       let g, trace = Gen.build_computation c in
       let d = Decomposition.best g in
       let events = events_of_trace trace in
-      let merged =
-        Merge.snapshots (run_engine ~shards ~batch:7 events d)
-      in
-      let oracle =
-        Merge.snapshots (run_engine ~shards:1 ~batch:1024 events d)
-      in
-      merged = oracle)
-
-(* The same property through the byte-level service path with a fault
-   injector duplicating and corrupting deliveries: seq dedup and the
-   wire checksum keep the engine's effective stream clean, so the merged
-   shard registries still equal the clean single-shard oracle. *)
-let faulty_gen = QCheck2.Gen.(triple Gen.computation (int_range 2 4) Gen.rng_seed)
-
-let faulty_print (c, shards, seed) =
-  Printf.sprintf "%s shards=%d inj_seed=%d" (Gen.computation_print c) shards
-    seed
-
-let test_merge_under_faults =
-  qtest ~count:25 "merge survives dup/corrupt delivery" faulty_gen
-    faulty_print (fun (c, shards, seed) ->
-      let g, trace = Gen.build_computation c in
-      let d = Decomposition.best g in
-      let events = events_of_trace trace in
-      let oracle =
-        Merge.snapshots (run_engine ~shards:1 ~batch:9 events d)
-      in
-      let service = Service.create ~shards d in
+      let clean = run_engine ~batch:1024 events d in
+      let service = Service.create d in
       Fun.protect
         ~finally:(fun () -> Service.stop service)
         (fun () ->
@@ -358,11 +261,39 @@ let test_merge_under_faults =
             incr seq;
             off := !off + len
           done;
-          (* Head of the list is the service's own registry (latency,
-             dedup) — nondeterministic; the merge property is about the
-             engine's per-shard registries behind it. *)
-          let shard_snaps = List.tl (Service.telemetry_snapshots service) in
-          Merge.snapshots shard_snaps = oracle))
+          match Service.backend service with
+          | Service.Online e -> Engine.telemetry_snapshot e = clean
+          | Service.Offline_stream _ -> false))
+
+(* The admin [metrics] view lists the process registry, the service's
+   and the engine's side by side; no name may appear twice, on either
+   backend. *)
+let test_metrics_names_unique () =
+  let d = Decomposition.best (Topology.ring 5) in
+  List.iter
+    (fun offline ->
+      let service = Service.create ~offline d in
+      Fun.protect
+        ~finally:(fun () -> Service.stop service)
+        (fun () ->
+          let conn = Service.attach service in
+          ignore
+            (Service.handle service conn
+               (Protocol.Observe
+                  {
+                    seq = 0;
+                    events =
+                      [|
+                        Ingest.Message { src = 0; dst = 1 };
+                        Ingest.Internal { proc = 2 };
+                      |];
+                  }));
+          let names = List.map fst (Admin_service.snapshot service) in
+          Alcotest.(check (list string))
+            (if offline then "offline" else "online")
+            (List.sort_uniq String.compare names)
+            names))
+    [ false; true ]
 
 let () =
   Alcotest.run "obs"
@@ -373,13 +304,6 @@ let () =
           Alcotest.test_case "jsonl rendering" `Quick test_log_render_jsonl;
           Alcotest.test_case "level filter + ticks" `Quick test_log_filtering;
         ] );
-      ( "merge",
-        [
-          Alcotest.test_case "value semantics" `Quick test_merge_values;
-          Alcotest.test_case "mismatches raise" `Quick test_merge_mismatch;
-          Alcotest.test_case "snapshots sort and sum" `Quick
-            test_merge_snapshots_sorted;
-        ] );
       ( "admin codec",
         [
           test_request_roundtrip;
@@ -387,6 +311,10 @@ let () =
           Alcotest.test_case "family header rejection" `Quick
             test_family_rejection;
         ] );
-      ( "cross-shard",
-        [ test_merge_matches_oracle; test_merge_under_faults ] );
+      ( "telemetry",
+        [
+          test_snapshot_under_faults;
+          Alcotest.test_case "metrics view names are unique" `Quick
+            test_metrics_names_unique;
+        ] );
     ]

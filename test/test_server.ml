@@ -5,7 +5,6 @@ module Vector = Synts_clock.Vector
 module Wire = Synts_clock.Wire
 module Online = Synts_core.Online
 module Ingest = Synts_ingest.Ingest
-module Shard = Synts_server.Shard
 module Engine = Synts_server.Engine
 module Protocol = Synts_server.Protocol
 module Service = Synts_server.Service
@@ -29,60 +28,7 @@ let contains ~sub s =
 let events_of_trace trace =
   Array.of_list (List.map Ingest.event_of_step (Trace.steps trace))
 
-(* ---------- shard plans ---------- *)
-
-let test_shard_partition () =
-  let plan = Shard.plan ~dimension:7 ~shards:3 in
-  Alcotest.(check int) "effective shards" 3 (Shard.shards plan);
-  let seen = Array.make 7 0 in
-  for s = 0 to Shard.shards plan - 1 do
-    Array.iteri
-      (fun j g ->
-        seen.(g) <- seen.(g) + 1;
-        Alcotest.(check int) "owner" s (Shard.owner plan g);
-        Alcotest.(check int) "slot" j (Shard.slot plan g))
-      (Shard.components plan s)
-  done;
-  Alcotest.(check (array int)) "partition" (Array.make 7 1) seen
-
-let test_shard_clamp () =
-  (* More shards than components would idle workers: clamp. *)
-  let plan = Shard.plan ~dimension:2 ~shards:8 in
-  Alcotest.(check int) "clamped" 2 (Shard.shards plan);
-  Alcotest.(check int) "single component, single shard" 1
-    (Shard.shards (Shard.plan ~dimension:1 ~shards:16))
-
-(* The paper's min(β(G), N−2) dimension floor drives the clamp at the
-   engine level: tiny topologies run one shard no matter what was
-   requested. *)
-let test_engine_clamp_edge_cases () =
-  let check_one name g requested expected =
-    let engine = Engine.create ~shards:requested (Decomposition.best g) in
-    Fun.protect
-      ~finally:(fun () -> Engine.stop engine)
-      (fun () -> Alcotest.(check int) name expected (Engine.shards engine))
-  in
-  (* N = 2: one channel, one group. *)
-  check_one "N=2 clamps to 1" (Topology.path 2) 4 1;
-  (* A star is a single group however many leaves. *)
-  check_one "star clamps to 1" (Topology.star 6) 4 1;
-  (* K5: dimension min(β, N−2) = 3 allows up to 3 shards. *)
-  let k5 = Decomposition.best (Topology.complete 5) in
-  let engine = Engine.create ~shards:8 (Decomposition.best (Topology.complete 5)) in
-  Fun.protect
-    ~finally:(fun () -> Engine.stop engine)
-    (fun () ->
-      Alcotest.(check int) "K5 clamp = dimension" (Decomposition.size k5)
-        (Engine.shards engine))
-
-(* ---------- sharded engine ≡ single-domain oracle ---------- *)
-
-let shards_gen = QCheck2.Gen.int_range 1 4
-
-let conformance_gen = QCheck2.Gen.pair Gen.computation shards_gen
-
-let conformance_print (c, shards) =
-  Printf.sprintf "%s shards=%d" (Gen.computation_print c) shards
+(* ---------- engine ≡ Online.stamper ---------- *)
 
 (* Feed a whole trace through a session (the deterministic reference
    sink), collecting message stamps and resolved internal stamps. *)
@@ -93,8 +39,8 @@ let session_reference d trace =
   let resolved = Session.finish_events session in
   (stamps, List.sort compare resolved)
 
-let engine_run ~shards ~batch d trace =
-  let engine = Engine.create ~shards d in
+let engine_run ~batch d trace =
+  let engine = Engine.create d in
   Fun.protect
     ~finally:(fun () -> Engine.stop engine)
     (fun () ->
@@ -114,30 +60,29 @@ let engine_run ~shards ~batch d trace =
       (Ingest.message_stamps outcomes, List.sort compare !resolved))
 
 let test_engine_matches_oracle =
-  qtest ~count:60 "sharded engine = single-domain oracle (stamps + internal)"
-    conformance_gen conformance_print (fun (c, shards) ->
+  qtest ~count:60 "stamps + internal = Online.stamper"
+    Gen.computation Gen.computation_print (fun c ->
       let g, trace = Gen.build_computation c in
       let d = Decomposition.best g in
       let oracle = Online.timestamp_trace d trace in
       let ref_stamps, ref_resolved = session_reference d trace in
-      let stamps, resolved = engine_run ~shards ~batch:7 d trace in
+      let stamps, resolved = engine_run ~batch:7 d trace in
       Array.for_all2 Vector.equal stamps oracle
       && Array.for_all2 Vector.equal stamps ref_stamps
       && resolved = ref_resolved)
 
-let batch_split_gen =
-  QCheck2.Gen.(triple Gen.computation shards_gen (int_range 1 13))
+let batch_split_gen = QCheck2.Gen.(pair Gen.computation (int_range 1 13))
 
-let batch_split_print (c, shards, batch) =
-  Printf.sprintf "%s shards=%d batch=%d" (Gen.computation_print c) shards batch
+let batch_split_print (c, batch) =
+  Printf.sprintf "%s batch=%d" (Gen.computation_print c) batch
 
 let test_engine_batch_split_invariant =
   qtest ~count:60 "batch boundaries do not change stamps" batch_split_gen
-    batch_split_print (fun (c, shards, batch) ->
+    batch_split_print (fun (c, batch) ->
       let g, trace = Gen.build_computation c in
       let d = Decomposition.best g in
-      let whole, _ = engine_run ~shards ~batch:max_int d trace in
-      let split, _ = engine_run ~shards ~batch d trace in
+      let whole, _ = engine_run ~batch:max_int d trace in
+      let split, _ = engine_run ~batch d trace in
       Array.for_all2 Vector.equal whole split)
 
 (* ---------- protocol codec ---------- *)
@@ -182,11 +127,10 @@ let response_gen =
   QCheck2.Gen.(
     oneof
       [
-        map2
-          (fun (processes, dimension, shards) epoch ->
-            Protocol.Welcome { processes; dimension; shards; epoch })
-          (triple (int_bound 100) (int_bound 100) (int_bound 16))
-          (int_bound 50);
+        map
+          (fun (processes, dimension, epoch) ->
+            Protocol.Welcome { processes; dimension; epoch })
+          (triple (int_bound 100) (int_bound 100) (int_bound 50));
         map
           (fun outcomes -> Protocol.Outcomes outcomes)
           (array_size (int_bound 20)
@@ -262,22 +206,20 @@ let test_wire_versioned_vectors () =
 
 (* ---------- service: dup / corrupt exactness ---------- *)
 
-let faulty_service_gen =
-  QCheck2.Gen.(triple Gen.computation (int_range 1 3) Gen.rng_seed)
+let faulty_service_gen = QCheck2.Gen.pair Gen.computation Gen.rng_seed
 
-let faulty_service_print (c, shards, seed) =
-  Printf.sprintf "%s shards=%d inj_seed=%d" (Gen.computation_print c) shards
-    seed
+let faulty_service_print (c, seed) =
+  Printf.sprintf "%s inj_seed=%d" (Gen.computation_print c) seed
 
 (* Drive the byte-level request path through a fault injector that
    duplicates and corrupts deliveries; the sequence-number dedup plus the
    checksum frame must keep the stamps exactly the oracle's. *)
 let test_service_dup_corrupt =
   qtest ~count:50 "dup/corrupt deliveries never skew stamps"
-    faulty_service_gen faulty_service_print (fun (c, shards, seed) ->
+    faulty_service_gen faulty_service_print (fun (c, seed) ->
       let g, trace = Gen.build_computation c in
       let d = Decomposition.best g in
-      let service = Service.create ~shards ~check:true d in
+      let service = Service.create ~check:true d in
       Fun.protect
         ~finally:(fun () -> Service.stop service)
         (fun () ->
@@ -382,6 +324,46 @@ let test_service_rejects_gap_and_stale () =
       | Protocol.Error_r _ -> ()
       | _ -> Alcotest.fail "negative seq accepted")
 
+(* A batch the backend rejects must change nothing: the same three
+   requests on complete:4, with a self-loop message second in the
+   rejected batch, then a retry that reuses its sequence number. A
+   message stamped before the rejection would stay in the backend's
+   clocks, skew the retry's stamp and fail Verify. *)
+let test_service_rejected_batch_atomic () =
+  let d = Decomposition.best (Topology.complete 4) in
+  let msg src dst = Ingest.Message { src; dst } in
+  List.iter
+    (fun offline ->
+      let name = if offline then "offline" else "online" in
+      let service = Service.create ~offline ~check:true d in
+      Fun.protect
+        ~finally:(fun () -> Service.stop service)
+        (fun () ->
+          let conn = Service.attach service in
+          let observe seq events =
+            Service.handle service conn (Protocol.Observe { seq; events })
+          in
+          (match observe 0 [| msg 0 2 |] with
+          | Protocol.Outcomes _ -> ()
+          | _ -> Alcotest.fail (name ^ ": first batch"));
+          (match observe 1 [| msg 0 1; msg 2 2 |] with
+          | Protocol.Error_r _ -> ()
+          | _ -> Alcotest.fail (name ^ ": bad batch accepted"));
+          (match observe 1 [| msg 1 3 |] with
+          | Protocol.Outcomes _ -> ()
+          | _ -> Alcotest.fail (name ^ ": retry"));
+          match Service.handle service conn Protocol.Verify with
+          | Protocol.Verified { ok; checked } ->
+              Alcotest.(check bool) (name ^ " verifies") true ok;
+              (* Offline Verify counts message pairs, online messages. *)
+              Alcotest.(check int) (name ^ " checked")
+                (if offline then 1 else 2)
+                checked
+          | other ->
+              Format.kasprintf (fun s -> Alcotest.fail s) "%s verify: %a" name
+                Protocol.pp_response other))
+    [ true; false ]
+
 (* ---------- service: churn / engine resharding ---------- *)
 
 (* One scripted epoch crossing: the engine is retired and rebuilt, yet
@@ -390,7 +372,7 @@ let test_service_rejects_gap_and_stale () =
    with every stamp on both sides of the boundary. *)
 let test_service_churn_reshard () =
   let d = Decomposition.best (Topology.ring 4) in
-  let service = Service.create ~shards:2 ~check:true d in
+  let service = Service.create ~check:true d in
   Fun.protect
     ~finally:(fun () -> Service.stop service)
     (fun () ->
@@ -471,7 +453,7 @@ let test_service_churn_random =
     (fun (seed, msgs) ->
       let g0 = Topology.ring 5 in
       let d = Decomposition.best g0 in
-      let service = Service.create ~shards:2 ~check:true d in
+      let service = Service.create ~check:true d in
       Fun.protect
         ~finally:(fun () -> Service.stop service)
         (fun () ->
@@ -544,7 +526,7 @@ let test_socket_roundtrip () =
     Workload.random (Rng.create 42) ~topology:g ~messages:120
       ~internal_prob:0.15 ()
   in
-  let handle = Server.spawn ~shards:2 ~check:true (Server.Unix_socket path) d in
+  let handle = Server.spawn ~check:true (Server.Unix_socket path) d in
   let clients = Array.init 3 (fun _ -> Client.connect (Server.Unix_socket path)) in
   Fun.protect
     ~finally:(fun () ->
@@ -554,7 +536,6 @@ let test_socket_roundtrip () =
     (fun () ->
       Alcotest.(check int) "welcome n" (Decomposition.graph_vertices d)
         (Client.processes clients.(0));
-      Alcotest.(check int) "welcome shards" 2 (Client.shards clients.(0));
       let events = events_of_trace trace in
       let total = Array.length events in
       (* Interleave the stream across the three clients batch by batch;
@@ -597,14 +578,6 @@ let test_socket_roundtrip () =
 let () =
   Alcotest.run "server"
     [
-      ( "shard",
-        [
-          Alcotest.test_case "round-robin partition" `Quick
-            test_shard_partition;
-          Alcotest.test_case "clamping" `Quick test_shard_clamp;
-          Alcotest.test_case "engine clamp edge cases" `Quick
-            test_engine_clamp_edge_cases;
-        ] );
       ( "engine",
         [ test_engine_matches_oracle; test_engine_batch_split_invariant ] );
       ( "protocol",
@@ -622,6 +595,8 @@ let () =
             test_service_dup_replies_cached;
           Alcotest.test_case "gap and stale rejected" `Quick
             test_service_rejects_gap_and_stale;
+          Alcotest.test_case "rejected batch changes nothing" `Quick
+            test_service_rejected_batch_atomic;
         ] );
       ( "churn",
         [
